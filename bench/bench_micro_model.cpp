@@ -107,6 +107,16 @@ void BM_LitmusExploreFig5(benchmark::State& state) {
 }
 BENCHMARK(BM_LitmusExploreFig5);
 
+// The heaviest oracle DFS of the litmus grid (101,822 paths in program
+// order), paid again by every back-end's LitmusTarget.
+void BM_LitmusExploreWrcLocked(benchmark::State& state) {
+  const auto test = litmus::wrc_locked();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(explore(test));
+  }
+}
+BENCHMARK(BM_LitmusExploreWrcLocked)->Unit(benchmark::kMillisecond);
+
 void BM_LitmusExploreWeakIssue(benchmark::State& state) {
   const auto test = litmus::fig5_mp_no_reader_fence();
   ExploreOptions opts;

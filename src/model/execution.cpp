@@ -92,12 +92,12 @@ OpId Execution::init_op(LocId v) const {
 }
 
 const std::vector<Edge>& Execution::out_edges(OpId id) const {
-  PMC_CHECK(id < out_.size());
+  PMC_CHECK(id < ops_.size());
   return out_[id];
 }
 
 const std::vector<Edge>& Execution::in_edges(OpId id) const {
-  PMC_CHECK(id < in_.size());
+  PMC_CHECK(id < ops_.size());
   return in_[id];
 }
 
@@ -135,8 +135,10 @@ OpId Execution::new_op(uint8_t kinds, ProcId p, LocId v, uint64_t value) {
   o.loc = v;
   o.value = value;
   ops_.push_back(o);
-  out_.emplace_back();
-  in_.emplace_back();
+  if (out_.size() == o.id) {  // else reuse a slot a restore emptied
+    out_.emplace_back();
+    in_.emplace_back();
+  }
   return o.id;
 }
 
@@ -421,8 +423,8 @@ std::string Execution::to_dot() const {
   for (const Operation& o : ops_) {
     os << "  n" << o.id << " [label=\"" << o.describe() << "\"];\n";
   }
-  for (const auto& edges : out_) {
-    for (const Edge& e : edges) {
+  for (OpId id = 0; id < ops_.size(); ++id) {
+    for (const Edge& e : out_[id]) {
       const char* style = "solid";
       const char* color = "black";
       switch (e.kind) {
@@ -437,6 +439,39 @@ std::string Execution::to_dot() const {
   }
   os << "}\n";
   return os.str();
+}
+
+void Execution::save(Checkpoint& cp) const {
+  cp.num_ops_ = ops_.size();
+  cp.num_edges_ = num_edges_;
+  cp.release_frontier_ = release_frontier_;
+  cp.pls_ = pls_;
+  cp.ps_ = ps_;
+}
+
+void Execution::restore(const Checkpoint& cp) {
+  const size_t n = cp.num_ops_;
+  PMC_CHECK_MSG(n <= ops_.size(),
+                "restore of a checkpoint newer than the current state "
+                "(checkpoints restore LIFO)");
+  PMC_CHECK(cp.pls_.size() == pls_.size() && cp.ps_.size() == ps_.size());
+  // Every edge into a newer op was appended after the checkpoint, so the
+  // ones from older ops sit at the tails of those ops' out-lists.
+  for (size_t id = n; id < ops_.size(); ++id) {
+    for (const Edge& e : in_[id]) {
+      if (e.from < n) out_[e.from].pop_back();
+    }
+    out_[id].clear();
+    in_[id].clear();
+  }
+  ops_.resize(n);
+  for (auto& ws : writes_) {
+    while (!ws.empty() && ws.back() >= n) ws.pop_back();
+  }
+  num_edges_ = cp.num_edges_;
+  release_frontier_ = cp.release_frontier_;
+  pls_ = cp.pls_;
+  ps_ = cp.ps_;
 }
 
 }  // namespace pmc::model

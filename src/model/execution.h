@@ -9,6 +9,10 @@
 // Edge insertion uses a closure-preserving reduction (only non-dominated
 // predecessors receive explicit edges); `tests/model/test_naive_equivalence`
 // property-checks it against the unreduced NaiveExecution on random programs.
+//
+// Checkpoints let a search backtrack in place instead of copying the graph:
+// `save` records the current state, `restore` undoes every operation issued
+// since (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -89,6 +93,21 @@ class Execution {
   /// Graphviz rendering, for documentation and the litmus explorer.
   std::string to_dot() const;
 
+  // -- Backtracking (DESIGN.md §4) --------------------------------------------
+
+  /// A saved state. Reusable: saving into one again reuses its storage, so a
+  /// search that keeps one per depth stops allocating once warm.
+  class Checkpoint;
+
+  /// Records the current state into `cp`.
+  void save(Checkpoint& cp) const;
+  /// Undoes every operation issued since `cp` was saved; afterwards the
+  /// execution equals one that issued only the operations before `cp`.
+  /// Restores are LIFO: `cp` must have been saved from this execution at
+  /// the current state or an ancestor of it. Restoring a checkpoint newer
+  /// than the current state fails a PMC_CHECK.
+  void restore(const Checkpoint& cp);
+
  private:
   struct ProcLocState {
     OpId last_write = kNoOp;    // latest (w, p, v, ·) — starts at the init op
@@ -115,6 +134,8 @@ class Execution {
   int num_procs_;
   int num_locs_;
   std::vector<Operation> ops_;
+  // Edge lists per op. After a restore these may hold empty slots past
+  // ops_.size() that keep their capacity for the ops issued next.
   std::vector<std::vector<Edge>> out_;
   std::vector<std::vector<Edge>> in_;
   size_t num_edges_ = 0;
@@ -122,6 +143,16 @@ class Execution {
   std::vector<std::vector<OpId>> writes_;        // per location, issue order
   std::vector<std::vector<OpId>> release_frontier_;  // per location
   std::vector<ProcLocState> pls_;                // [p * num_locs + v]
+  std::vector<ProcState> ps_;
+};
+
+class Execution::Checkpoint {
+ private:
+  friend class Execution;
+  size_t num_ops_ = 0;
+  size_t num_edges_ = 0;
+  std::vector<std::vector<OpId>> release_frontier_;
+  std::vector<ProcLocState> pls_;
   std::vector<ProcState> ps_;
 };
 

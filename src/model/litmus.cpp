@@ -51,24 +51,38 @@ struct State {
   }
 };
 
+/// Depth-first enumeration over one State that backtracks in place: each
+/// branch saves a checkpoint, issues its op, recurses and restores
+/// (DESIGN.md §4), so every subtree starts from exactly the state its
+/// branch produced and no State is ever copied.
 class Explorer {
  public:
   Explorer(const LitmusTest& test, const ExploreOptions& opts)
-      : test_(test), opts_(opts) {}
+      : test_(test), opts_(opts), st_(test) {
+    size_t total_ops = 0;
+    for (const auto& th : test.threads) total_ops += th.ops.size();
+    frames_.resize(total_ops + 1);  // one per depth; never reallocates
+  }
 
   ExploreResult run() {
-    State init(test_);
-    dfs(init);
+    dfs();
     return std::move(result_);
   }
 
  private:
+  /// What a branch must put back besides the Execution.
+  struct Frame {
+    Execution::Checkpoint exec;
+    std::vector<int> holder;
+    Outcome regs;
+  };
+
   /// Instruction indices of thread t that may issue next. In program-order
   /// mode this is just the frontier; in weak-issue mode any instruction in
   /// the window may hoist unless Table I orders it behind a pending earlier
   /// instruction.
-  std::vector<size_t> issuable(const State& st, size_t t) const {
-    const auto& ts = st.threads[t];
+  std::vector<size_t> issuable(size_t t) const {
+    const auto& ts = st_.threads[t];
     const auto& ops = test_.threads[t].ops;
     std::vector<size_t> out;
     if (ts.frontier >= ops.size()) return out;
@@ -92,103 +106,105 @@ class Explorer {
     return out;
   }
 
-  void mark_issued(State& st, size_t t, size_t j) const {
-    auto& ts = st.threads[t];
-    ts.issued[j] = 1;
-    while (ts.frontier < ts.issued.size() && ts.issued[ts.frontier]) {
-      ++ts.frontier;
-    }
-  }
-
-  void record_read_race(State& st, OpId read_op) {
-    if (!result_.race_observed && st.exec.last_writes(read_op).size() > 1) {
+  void record_read_race(OpId read_op) {
+    if (!result_.race_observed && st_.exec.last_writes(read_op).size() > 1) {
       result_.race_observed = true;
     }
   }
 
-  void dfs(State& st) {
+  /// Issues instruction j of thread t through `issue` (which applies the op
+  /// to st_), explores the subtree, then restores st_ exactly.
+  template <typename Issue>
+  void branch(size_t t, size_t j, Issue&& issue) {
+    Frame& f = frames_[depth_];
+    st_.exec.save(f.exec);
+    f.holder = st_.holder;
+    f.regs = st_.regs;
+    ThreadState& ts = st_.threads[t];
+    const size_t frontier = ts.frontier;
+
+    issue();
+    ts.issued[j] = 1;
+    while (ts.frontier < ts.issued.size() && ts.issued[ts.frontier]) {
+      ++ts.frontier;
+    }
+    ++depth_;
+    dfs();
+    --depth_;
+
+    ts.issued[j] = 0;
+    ts.frontier = frontier;
+    st_.holder = f.holder;
+    st_.regs = f.regs;
+    st_.exec.restore(f.exec);
+  }
+
+  void dfs() {
     if (result_.truncated) return;
+    Execution& exec = st_.exec;
     bool all_done = true;
     bool advanced = false;
-    for (size_t t = 0; t < st.threads.size(); ++t) {
-      if (st.threads[t].frontier < st.threads[t].issued.size()) {
+    for (size_t t = 0; t < st_.threads.size(); ++t) {
+      if (st_.threads[t].frontier < st_.threads[t].issued.size()) {
         all_done = false;
       }
-      for (size_t j : issuable(st, t)) {
+      for (size_t j : issuable(t)) {
         const LitmusOp& op = test_.threads[t].ops[j];
         const ProcId p = static_cast<ProcId>(t);
         switch (op.kind) {
-          case LitmusOp::Kind::kStore: {
-            State next = st;
-            next.exec.write(p, op.loc, op.value);
-            mark_issued(next, t, j);
+          case LitmusOp::Kind::kStore:
             advanced = true;
-            dfs(next);
+            branch(t, j, [&] { exec.write(p, op.loc, op.value); });
             break;
-          }
-          case LitmusOp::Kind::kFence: {
-            State next = st;
-            next.exec.fence(p);
-            mark_issued(next, t, j);
+          case LitmusOp::Kind::kFence:
             advanced = true;
-            dfs(next);
+            branch(t, j, [&] { exec.fence(p); });
             break;
-          }
-          case LitmusOp::Kind::kAcquire: {
-            if (st.holder[op.loc] != -1) break;  // mutual exclusion
-            State next = st;
-            next.exec.acquire(p, op.loc);
-            next.holder[op.loc] = static_cast<int>(t);
-            mark_issued(next, t, j);
+          case LitmusOp::Kind::kAcquire:
+            if (st_.holder[op.loc] != -1) break;  // mutual exclusion
             advanced = true;
-            dfs(next);
+            branch(t, j, [&] {
+              exec.acquire(p, op.loc);
+              st_.holder[op.loc] = static_cast<int>(t);
+            });
             break;
-          }
-          case LitmusOp::Kind::kRelease: {
-            PMC_CHECK_MSG(st.holder[op.loc] == static_cast<int>(t),
+          case LitmusOp::Kind::kRelease:
+            PMC_CHECK_MSG(st_.holder[op.loc] == static_cast<int>(t),
                           "litmus program releases a lock it does not hold");
-            State next = st;
-            next.exec.release(p, op.loc);
-            next.holder[op.loc] = -1;
-            mark_issued(next, t, j);
             advanced = true;
-            dfs(next);
+            branch(t, j, [&] {
+              exec.release(p, op.loc);
+              st_.holder[op.loc] = -1;
+            });
             break;
-          }
-          case LitmusOp::Kind::kLoad: {
-            for (OpId src : st.exec.legal_sources_now(p, op.loc)) {
-              State next = st;
-              const uint64_t v = next.exec.op(src).value;
-              const OpId read_op = next.exec.read(p, op.loc, v, src);
-              record_read_race(next, read_op);
-              if (op.reg >= 0) next.regs[op.reg] = v;
-              mark_issued(next, t, j);
+          case LitmusOp::Kind::kLoad:
+            for (OpId src : exec.legal_sources_now(p, op.loc)) {
               advanced = true;
-              dfs(next);
+              branch(t, j, [&] {
+                const uint64_t v = exec.op(src).value;
+                record_read_race(exec.read(p, op.loc, v, src));
+                if (op.reg >= 0) st_.regs[op.reg] = v;
+              });
             }
             break;
-          }
-          case LitmusOp::Kind::kLoadUntil: {
+          case LitmusOp::Kind::kLoadUntil:
             // Only the terminating poll iteration is modeled; failing polls
             // read older values, which cannot restrict the outcomes we only
             // continue from (monotonicity points forward).
-            for (OpId src : st.exec.legal_sources_now(p, op.loc)) {
-              if (st.exec.op(src).value != op.value) continue;
-              State next = st;
-              const OpId read_op = next.exec.read(p, op.loc, op.value, src);
-              record_read_race(next, read_op);
-              mark_issued(next, t, j);
+            for (OpId src : exec.legal_sources_now(p, op.loc)) {
+              if (exec.op(src).value != op.value) continue;
               advanced = true;
-              dfs(next);
+              branch(t, j, [&] {
+                record_read_race(exec.read(p, op.loc, op.value, src));
+              });
             }
             break;
-          }
         }
         if (result_.truncated) return;
       }
     }
     if (all_done) {
-      result_.outcomes.insert(st.regs);
+      result_.outcomes.insert(st_.regs);
       if (++result_.paths >= opts_.max_paths) result_.truncated = true;
     } else if (!advanced) {
       ++result_.stuck_paths;
@@ -197,6 +213,9 @@ class Explorer {
 
   const LitmusTest& test_;
   const ExploreOptions& opts_;
+  State st_;
+  std::vector<Frame> frames_;
+  size_t depth_ = 0;
   ExploreResult result_;
 };
 

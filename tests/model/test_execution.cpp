@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace pmc::model {
 namespace {
@@ -239,6 +240,200 @@ TEST(Execution, BoundsAreChecked) {
   EXPECT_THROW(e.op(99), util::CheckFailure);
   EXPECT_THROW(e.read(0, 5, 0), util::CheckFailure);
   EXPECT_THROW(e.write(2, 0, 0), util::CheckFailure);
+}
+
+// -- Checkpoints --------------------------------------------------------------
+
+/// One issued operation, recorded so a fresh execution can replay it.
+struct Step {
+  OpKind kind = OpKind::kFence;
+  ProcId p = 0;
+  LocId v = 0;
+  uint64_t value = 0;
+  OpId source = kNoOp;
+};
+
+void apply(Execution& e, const Step& s) {
+  switch (s.kind) {
+    case OpKind::kRead: e.read(s.p, s.v, s.value, s.source); break;
+    case OpKind::kWrite: e.write(s.p, s.v, s.value); break;
+    case OpKind::kAcquire: e.acquire(s.p, s.v); break;
+    case OpKind::kRelease: e.release(s.p, s.v); break;
+    case OpKind::kFence: e.fence(s.p); break;
+  }
+}
+
+/// A random well-formed program (the shape of test_naive_equivalence) that
+/// keeps its lock holders and issued steps alongside the execution. Reads
+/// return a random legal source, so read monotonicity is exercised too.
+struct RandomProgram {
+  Execution exec;
+  std::vector<int> holder;  // lock holder per location, -1 = free
+  std::vector<Step> steps;
+  util::Rng rng;
+
+  RandomProgram(int procs, int locs, uint64_t seed)
+      : exec(procs, locs, std::vector<uint64_t>(locs, 0)),
+        holder(locs, -1),
+        rng(seed) {}
+
+  void issue(int n) {
+    for (int i = 0; i < n; ++i) {
+      Step s;
+      s.p = static_cast<ProcId>(rng.next_below(exec.num_procs()));
+      s.v = static_cast<LocId>(rng.next_below(exec.num_locs()));
+      switch (rng.next_below(6)) {
+        case 0: {
+          const auto legal = exec.legal_sources_now(s.p, s.v);
+          s.kind = OpKind::kRead;
+          if (!legal.empty()) {
+            s.source = legal[rng.next_below(legal.size())];
+            s.value = exec.op(s.source).value;
+          }
+          break;
+        }
+        case 1:
+        case 2:
+          s.kind = OpKind::kWrite;
+          s.value = steps.size() + 1;
+          break;
+        case 3:
+          if (holder[s.v] != -1) continue;
+          s.kind = OpKind::kAcquire;
+          holder[s.v] = s.p;
+          break;
+        case 4:
+          if (holder[s.v] != s.p) continue;
+          s.kind = OpKind::kRelease;
+          holder[s.v] = -1;
+          break;
+        case 5:
+          s.kind = OpKind::kFence;
+          s.v = -1;
+          break;
+      }
+      apply(exec, s);
+      steps.push_back(s);
+    }
+  }
+};
+
+/// A fresh execution that issued only `steps`.
+Execution replay(int procs, int locs, const std::vector<Step>& steps) {
+  Execution e(procs, locs, std::vector<uint64_t>(locs, 0));
+  for (const Step& s : steps) apply(e, s);
+  return e;
+}
+
+/// Everything observable about an execution must agree.
+void expect_same(const Execution& a, const Execution& b) {
+  ASSERT_EQ(a.num_ops(), b.num_ops());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_EQ(a.to_dot(), b.to_dot());
+  for (OpId id = 0; id < a.num_ops(); ++id) {
+    EXPECT_EQ(a.op(id).source, b.op(id).source) << id;
+    EXPECT_EQ(a.in_edges(id), b.in_edges(id)) << id;
+    EXPECT_EQ(a.out_edges(id), b.out_edges(id)) << id;
+  }
+  for (LocId v = 0; v < a.num_locs(); ++v) {
+    EXPECT_EQ(a.writes_to(v), b.writes_to(v)) << "v" << v;
+    for (ProcId p = 0; p < a.num_procs(); ++p) {
+      EXPECT_EQ(a.last_read_source(p, v), b.last_read_source(p, v));
+      EXPECT_EQ(a.legal_sources_now(p, v), b.legal_sources_now(p, v))
+          << "p" << p << " v" << v;
+      EXPECT_EQ(a.last_writes_now(p, v), b.last_writes_now(p, v))
+          << "p" << p << " v" << v;
+    }
+  }
+}
+
+class CheckpointProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CheckpointProperty, RestoreEqualsReplayOfThePrefix) {
+  const uint64_t seed = GetParam();
+  const int procs = 2 + static_cast<int>(seed % 2);
+  const int locs = 2 + static_cast<int>(seed % 3);
+  RandomProgram prog(procs, locs, seed * 7919 + 1);
+  prog.issue(static_cast<int>(prog.rng.next_below(24)));
+
+  Execution::Checkpoint cp;
+  prog.exec.save(cp);
+  const std::vector<Step> prefix = prog.steps;
+  const std::vector<int> holder = prog.holder;
+  prog.issue(1 + static_cast<int>(prog.rng.next_below(24)));
+  prog.exec.restore(cp);
+  prog.steps = prefix;
+  prog.holder = holder;
+
+  Execution fresh = replay(procs, locs, prefix);
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  expect_same(prog.exec, fresh);
+
+  // Continuing both with one suffix keeps them equal.
+  prog.issue(24);
+  for (size_t i = prefix.size(); i < prog.steps.size(); ++i) {
+    apply(fresh, prog.steps[i]);
+  }
+  expect_same(prog.exec, fresh);
+}
+
+TEST_P(CheckpointProperty, NestedRestoresAreLifo) {
+  const uint64_t seed = GetParam();
+  const int procs = 2 + static_cast<int>(seed % 2);
+  const int locs = 2 + static_cast<int>(seed % 3);
+  RandomProgram prog(procs, locs, seed * 104729 + 3);
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+
+  // Checkpoints at three depths; unwinding them innermost first must pass
+  // through each saved state in turn.
+  std::vector<Execution::Checkpoint> cps(3);
+  std::vector<std::vector<Step>> prefixes;
+  std::vector<std::vector<int>> holders;
+  for (auto& cp : cps) {
+    prog.issue(static_cast<int>(prog.rng.next_below(12)));
+    prog.exec.save(cp);
+    prefixes.push_back(prog.steps);
+    holders.push_back(prog.holder);
+  }
+  prog.issue(12);
+  for (size_t i = cps.size(); i-- > 0;) {
+    prog.exec.restore(cps[i]);
+    expect_same(prog.exec, replay(procs, locs, prefixes[i]));
+  }
+  // The same checkpoint restores again after further issues.
+  prog.steps = prefixes[0];
+  prog.holder = holders[0];
+  prog.issue(12);
+  prog.exec.restore(cps[0]);
+  expect_same(prog.exec, replay(procs, locs, prefixes[0]));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointProperty,
+                         ::testing::Range<uint64_t>(0, 40));
+
+TEST(Checkpoint, RestoringANewerCheckpointThrows) {
+  Execution e(2, 1);
+  Execution::Checkpoint older;
+  Execution::Checkpoint newer;
+  e.save(older);
+  e.write(0, 0, 1);
+  e.save(newer);
+  e.write(1, 0, 2);
+  e.restore(older);
+  EXPECT_THROW(e.restore(newer), util::CheckFailure);
+  EXPECT_EQ(e.num_ops(), 1u);
+}
+
+TEST(Checkpoint, UndoneOpsAreOutOfBounds) {
+  Execution e(1, 1);
+  Execution::Checkpoint cp;
+  e.save(cp);
+  const OpId w = e.write(0, 0, 1);
+  e.restore(cp);
+  EXPECT_THROW(e.op(w), util::CheckFailure);
+  EXPECT_THROW(e.out_edges(w), util::CheckFailure);
+  EXPECT_THROW(e.in_edges(w), util::CheckFailure);
+  EXPECT_TRUE(e.out_edges(e.init_op(0)).empty());
 }
 
 }  // namespace

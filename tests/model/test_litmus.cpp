@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "model/litmus_library.h"
 #include "util/check.h"
 
@@ -164,6 +167,139 @@ TEST(Litmus, LocationBoundsAreValidated) {
   t.num_regs = 1;
   t.threads = {{{LitmusOp::load(3, 0)}}};
   EXPECT_THROW(explore(t, program_order()), util::CheckFailure);
+}
+
+// -- Pinned enumeration results ----------------------------------------------
+
+/// Outcomes in set order, e.g. "(0,1) (1,0)".
+std::string format(const std::set<Outcome>& outcomes) {
+  std::string out;
+  for (const Outcome& o : outcomes) {
+    if (!out.empty()) out += ' ';
+    out += '(';
+    for (size_t i = 0; i < o.size(); ++i) {
+      if (i) out += ',';
+      out += std::to_string(o[i]);
+    }
+    out += ')';
+  }
+  return out;
+}
+
+struct Pinned {
+  const char* test;
+  int window;  // 0 = program order, else weak issue with this window
+  size_t paths;
+  size_t stuck_paths;
+  bool truncated;
+  bool race_observed;
+  const char* outcomes;
+};
+
+// Exact results of the exhaustive enumeration, recorded from an enumerator
+// that copied its whole state at every branch: backtracking in place must
+// visit the same paths in the same order.
+constexpr Pinned kPinned[] = {
+      {"fig1_mp_plain", 0, 2, 0, false, false, "(0) (42)"},
+      {"fig1_mp_plain", 2, 18, 0, false, false, "(0) (42)"},
+      {"fig1_mp_plain", 3, 18, 0, false, false, "(0) (42)"},
+      {"fig1_mp_plain", 4, 18, 0, false, false, "(0) (42)"},
+      {"fig5_mp_annotated", 0, 6, 0, false, false, "(42)"},
+      {"fig5_mp_annotated", 2, 12, 0, false, false, "(42)"},
+      {"fig5_mp_annotated", 3, 27, 0, false, false, "(42)"},
+      {"fig5_mp_annotated", 4, 33, 0, false, false, "(42)"},
+      {"fig5_mp_no_reader_fence", 0, 5, 0, false, false, "(42)"},
+      {"fig5_mp_no_reader_fence", 2, 32, 1, false, false, "(42)"},
+      {"fig5_mp_no_reader_fence", 3, 85, 1, false, false, "(42)"},
+      {"fig5_mp_no_reader_fence", 4, 150, 0, false, false, "(0) (42)"},
+      {"fig5_mp_no_writer_fence", 0, 6, 0, false, false, "(42)"},
+      {"fig5_mp_no_writer_fence", 2, 12, 0, false, false, "(42)"},
+      {"fig5_mp_no_writer_fence", 3, 48, 0, false, false, "(42)"},
+      {"fig5_mp_no_writer_fence", 4, 163, 0, false, false, "(42)"},
+      {"fig4_exclusive", 0, 2, 0, false, false, "(0) (2)"},
+      {"fig4_exclusive", 2, 2, 0, false, false, "(0) (2)"},
+      {"fig4_exclusive", 3, 2, 0, false, false, "(0) (2)"},
+      {"fig4_exclusive", 4, 2, 0, false, false, "(0) (2)"},
+      {"sb_plain", 0, 20, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"sb_plain", 2, 54, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"sb_plain", 3, 54, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"sb_plain", 4, 54, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"sb_locked", 0, 2452, 0, false, false, "(0,1) (1,0) (1,1)"},
+      {"sb_locked", 2, 2452, 0, false, false, "(0,1) (1,0) (1,1)"},
+      {"sb_locked", 3, 2452, 0, false, false, "(0,1) (1,0) (1,1)"},
+      {"sb_locked", 4, 2452, 0, false, false, "(0,1) (1,0) (1,1)"},
+      {"coherence_rr", 0, 6, 0, false, false, "(0,0) (0,1) (1,1)"},
+      {"coherence_rr", 2, 6, 0, false, false, "(0,0) (0,1) (1,1)"},
+      {"coherence_rr", 3, 6, 0, false, false, "(0,0) (0,1) (1,1)"},
+      {"coherence_rr", 4, 6, 0, false, false, "(0,0) (0,1) (1,1)"},
+      {"racy_write_write", 0, 9, 0, false, true, "(1) (2)"},
+      {"racy_write_write", 2, 11, 0, false, true, "(1) (2)"},
+      {"racy_write_write", 3, 11, 0, false, true, "(1) (2)"},
+      {"racy_write_write", 4, 11, 0, false, true, "(1) (2)"},
+      {"lb_plain", 0, 8, 0, false, false, "(0,0) (0,1) (1,0)"},
+      {"lb_plain", 2, 54, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"lb_plain", 3, 54, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"lb_plain", 4, 54, 0, false, false, "(0,0) (0,1) (1,0) (1,1)"},
+      {"wrc_locked", 0, 101822, 0, false, false, "(0,0,0) (0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,1)"},
+      {"wrc_locked", 2, 101822, 0, false, false, "(0,0,0) (0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,1)"},
+      {"wrc_locked", 3, 101822, 0, false, false, "(0,0,0) (0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,1)"},
+      {"wrc_locked", 4, 101822, 0, false, false, "(0,0,0) (0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,1)"},
+};
+
+ExploreOptions mode_for(int window) {
+  return window == 0 ? program_order()
+                     : ExploreOptions{IssueMode::kWeakIssue, window, 5'000'000};
+}
+
+void expect_pinned(const LitmusTest& test, int window) {
+  const auto* pin = std::find_if(
+      std::begin(kPinned), std::end(kPinned), [&](const Pinned& p) {
+        return p.test == test.name && p.window == window;
+      });
+  ASSERT_NE(pin, std::end(kPinned)) << test.name << " window " << window;
+  const auto res = explore(test, mode_for(window));
+  SCOPED_TRACE(test.name + " window " + std::to_string(window));
+  EXPECT_EQ(res.paths, pin->paths);
+  EXPECT_EQ(res.stuck_paths, pin->stuck_paths);
+  EXPECT_EQ(res.truncated, pin->truncated);
+  EXPECT_EQ(res.race_observed, pin->race_observed);
+  EXPECT_EQ(format(res.outcomes), pin->outcomes);
+}
+
+TEST(LitmusPinned, EveryLibraryTestInEveryModeMatchesItsPin) {
+  const auto tests = litmus::all_tests();
+  ASSERT_EQ(tests.size() * 4, std::size(kPinned))
+      << "a library test was added or removed; pin its results";
+  for (const auto& test : tests) {
+    for (const int window : {0, 2, 3, 4}) expect_pinned(test, window);
+  }
+}
+
+TEST(LitmusPinned, TruncationStopsAtMaxPathsWithASubsetOfOutcomes) {
+  const auto full = explore(litmus::wrc_locked(), program_order());
+  ExploreOptions opts = program_order();
+  opts.max_paths = 1000;
+  const auto cut = explore(litmus::wrc_locked(), opts);
+  EXPECT_EQ(cut.paths, 1000u);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_FALSE(cut.outcomes.empty());
+  EXPECT_TRUE(std::includes(full.outcomes.begin(), full.outcomes.end(),
+                            cut.outcomes.begin(), cut.outcomes.end()));
+  EXPECT_LT(cut.outcomes.size(), full.outcomes.size());
+}
+
+TEST(LitmusPinned, ExploreAfterAThrowingExploreIsUnaffected) {
+  // Thread 1 releases a lock it never took, several branches deep.
+  LitmusTest bad;
+  bad.name = "bad_release_mid_search";
+  bad.num_locs = 1;
+  bad.num_regs = 1;
+  bad.threads = {{{LitmusOp::store(0, 1), LitmusOp::load(0, 0)}},
+                 {{LitmusOp::store(0, 2), LitmusOp::release(0)}}};
+  EXPECT_THROW(explore(bad, program_order()), util::CheckFailure);
+  expect_pinned(litmus::wrc_locked(), 0);
+  EXPECT_THROW(explore(bad, weak_issue()), util::CheckFailure);
+  expect_pinned(litmus::wrc_locked(), 4);
 }
 
 }  // namespace

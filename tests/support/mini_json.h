@@ -1,7 +1,9 @@
 // Minimal strict JSON validity checker for the observability suites: just
 // enough grammar (objects, arrays, strings with escapes, numbers, literals)
 // to prove an exported document parses, with none of a real parser's value
-// model. Test-only; production code never round-trips JSON.
+// model. Test-only. Production code does read JSON back (the fuzzing farm
+// loads its corpus files through src/fuzz/json_read.h); this checker
+// validates exports without depending on that reader.
 #pragma once
 
 #include <cctype>
