@@ -2,7 +2,7 @@
 // generated fuzz programs, and apps-layer kernels across interleavings.
 //
 // Every mode drives a CheckTarget through the CheckSession facade
-// (DESIGN.md §9): the session owns bounds, DPOR mode, engine selection
+// (DESIGN.md §9): the session owns bounds, DPOR mode, the worker count
 // (--jobs), and failure minimization, so reports are deterministic at any
 // job count. Clean modes must find zero failures; --seed-bug injects the
 // per-back-end "missing flush" fault that only reordered schedules expose,

@@ -9,7 +9,6 @@
 #include "apps/mfifo.h"
 #include "apps/task_queue.h"
 #include "explore/litmus_driver.h"
-#include "explore/parallel_explorer.h"
 #include "explore/stateful.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -695,15 +694,6 @@ CheckSession::CheckSession(SessionOptions opts) : opts_(std::move(opts)) {
   if (opts_.jobs < 1) opts_.jobs = 1;
 }
 
-bool CheckSession::parallel_engine() const {
-  switch (opts_.engine) {
-    case Engine::kSequential: return false;
-    case Engine::kParallel: return true;
-    case Engine::kAuto: return opts_.jobs > 1;
-  }
-  return false;
-}
-
 bool CheckSession::stateful(const CheckTarget& target) const {
   return opts_.engine_state == EngineState::kSnapshot &&
          target.stateful_capable() && sim::Scheduler::fibers_supported();
@@ -711,80 +701,70 @@ bool CheckSession::stateful(const CheckTarget& target) const {
 
 namespace {
 
-StatefulOptions stateful_options(const SessionOptions& opts) {
-  StatefulOptions s;
-  s.checkpoint_stride = opts.snapshot_stride;
-  s.horizon = opts.explore.horizon;
-  s.pool_capacity = opts.snapshot_pool;
-  return s;
-}
+/// The runners of one engine call. A stateful target gives every worker a
+/// private StatefulExecutor — each owns a Program and a snapshot pool, so
+/// the runners share nothing mutable — and the executors are kept to sum
+/// their snapshot counters afterwards. Any other target shares its own
+/// thread-safe run().
+class Runners {
+ public:
+  Runners(const CheckTarget& target, const SessionOptions& opts,
+          bool stateful)
+      : target_(target), stateful_(stateful) {
+    sopts_.checkpoint_stride = opts.snapshot_stride;
+    sopts_.horizon = opts.explore.horizon;
+    sopts_.pool_capacity = opts.snapshot_pool;
+  }
+  // factory() hands out closures holding `this`.
+  Runners(const Runners&) = delete;
+  Runners& operator=(const Runners&) = delete;
 
-void merge_stats(ExploreReport& rep, const StatefulStats& stats) {
-  rep.snapshots_taken += stats.snapshots_taken;
-  rep.snapshot_hits += stats.pool_hits;
-  rep.snapshot_misses += stats.pool_misses;
-}
+  RunnerFactory factory() {
+    return [this]() -> ScheduleRunner {
+      if (!stateful_) return target_.runner();
+      auto exec =
+          std::make_unique<StatefulExecutor>(target_.make_spec(), sopts_);
+      ScheduleRunner runner = exec->runner();
+      std::lock_guard<std::mutex> lk(mu_);
+      execs_.push_back(std::move(exec));
+      return runner;
+    };
+  }
+
+  void add_stats(ExploreReport& rep) const {
+    for (const auto& e : execs_) {
+      rep.snapshots_taken += e->stats().snapshots_taken;
+      rep.snapshot_hits += e->stats().pool_hits;
+      rep.snapshot_misses += e->stats().pool_misses;
+    }
+  }
+
+ private:
+  const CheckTarget& target_;
+  bool stateful_;
+  StatefulOptions sopts_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<StatefulExecutor>> execs_;
+};
 
 }  // namespace
 
 ExploreReport CheckSession::explore(const CheckTarget& target) const {
-  if (!stateful(target)) return explore(target.runner());
-  const StatefulOptions sopts = stateful_options(opts_);
-  if (parallel_engine()) {
-    // One executor per worker: each owns a private Program and pool, so the
-    // runners share nothing mutable — same contract as stateless runners.
-    std::mutex mu;
-    std::vector<std::shared_ptr<StatefulExecutor>> execs;
-    ParallelExplorer ex(
-        [&]() {
-          auto e =
-              std::make_shared<StatefulExecutor>(target.make_spec(), sopts);
-          {
-            std::lock_guard<std::mutex> lk(mu);
-            execs.push_back(e);
-          }
-          return ScheduleRunner([e](ReplayPolicy& p) { return e->run(p); });
-        },
-        opts_.jobs);
-    ExploreReport rep = ex.explore(opts_.explore);
-    for (const auto& e : execs) merge_stats(rep, e->stats());
-    return rep;
-  }
-  StatefulExecutor exec(target.make_spec(), sopts);
-  Explorer ex(exec.runner());
-  ExploreReport rep = ex.explore(opts_.explore);
-  merge_stats(rep, exec.stats());
+  Runners runners(target, opts_, stateful(target));
+  ExploreReport rep =
+      Explorer(runners.factory(), opts_.jobs).explore(opts_.explore);
+  runners.add_stats(rep);
   return rep;
-}
-
-ExploreReport CheckSession::explore(const ScheduleRunner& runner) const {
-  if (parallel_engine()) {
-    ParallelExplorer ex(runner, opts_.jobs);
-    return ex.explore(opts_.explore);
-  }
-  Explorer ex(runner);
-  return ex.explore(opts_.explore);
 }
 
 RunOutcome CheckSession::replay(const CheckTarget& target,
                                 const DecisionString& schedule,
                                 bool* fully_applied) const {
-  if (stateful(target)) {
-    // Replay is one run — a fresh executor costs the same as a stateless
-    // replay, and repeated replays (minimize) go through minimize() below.
-    StatefulExecutor exec(target.make_spec(), stateful_options(opts_));
-    Explorer ex(exec.runner());
-    return ex.replay(schedule, opts_.explore.horizon, fully_applied);
-  }
-  return replay(target.runner(), schedule, fully_applied);
-}
-
-RunOutcome CheckSession::replay(const ScheduleRunner& runner,
-                                const DecisionString& schedule,
-                                bool* fully_applied) const {
-  // Replay is inherently sequential; both engines share the same contract.
-  Explorer ex(runner);
-  return ex.replay(schedule, opts_.explore.horizon, fully_applied);
+  // Replay is one run: a fresh executor costs the same as a stateless
+  // replay, and repeated replays (minimize) keep theirs across rounds.
+  Runners runners(target, opts_, stateful(target));
+  return replay_schedule(runners.factory()(), schedule, opts_.explore.horizon,
+                         fully_applied);
 }
 
 RunOutcome CheckSession::replay_traced(const CheckTarget& target,
@@ -792,54 +772,23 @@ RunOutcome CheckSession::replay_traced(const CheckTarget& target,
                                        obs::TraceRecorder* recorder,
                                        bool* fully_applied) const {
   PMC_CHECK(recorder != nullptr);
-  // Replays only consume the verdict, never the DPOR recording.
-  ReplayPolicy policy(schedule, opts_.explore.horizon,
-                      /*record_footprints=*/false);
-  RunOutcome out;
-  if (target.stateful_capable()) {
-    StatefulSpec spec = target.make_spec();
-    spec.opts.trace = recorder;
-    out = run_spec_once(spec, policy);
-  } else {
+  if (!target.stateful_capable()) {
     // No ProgramOptions to attach the recorder to: run untraced.
-    out = target.run(policy);
+    return replay_schedule(target.runner(), schedule, opts_.explore.horizon,
+                           fully_applied);
   }
-  if (fully_applied != nullptr) {
-    *fully_applied = policy.unused_overrides() == 0;
-  }
-  return out;
+  StatefulSpec spec = target.make_spec();
+  spec.opts.trace = recorder;
+  return replay_schedule(
+      [&spec](ReplayPolicy& p) { return run_spec_once(spec, p); }, schedule,
+      opts_.explore.horizon, fully_applied);
 }
 
 DecisionString CheckSession::minimize(const CheckTarget& target,
                                       DecisionString failing) const {
-  if (stateful(target)) {
-    if (parallel_engine()) {
-      ParallelExplorer ex(
-          [&target, sopts = stateful_options(opts_)]() {
-            auto e =
-                std::make_shared<StatefulExecutor>(target.make_spec(), sopts);
-            return ScheduleRunner([e](ReplayPolicy& p) { return e->run(p); });
-          },
-          opts_.jobs);
-      return ex.minimize(std::move(failing), opts_.explore.horizon);
-    }
-    StatefulExecutor exec(target.make_spec(), stateful_options(opts_));
-    Explorer ex(exec.runner());
-    return ex.minimize(std::move(failing), opts_.explore.horizon);
-  }
-  return minimize(target.runner(), std::move(failing));
-}
-
-DecisionString CheckSession::minimize(const ScheduleRunner& runner,
-                                      DecisionString failing) const {
-  if (parallel_engine()) {
-    // Round-parallel lowest-index-wins: identical result to the sequential
-    // greedy scan at any job count.
-    ParallelExplorer ex(runner, opts_.jobs);
-    return ex.minimize(std::move(failing), opts_.explore.horizon);
-  }
-  Explorer ex(runner);
-  return ex.minimize(std::move(failing), opts_.explore.horizon);
+  Runners runners(target, opts_, stateful(target));
+  return Explorer(runners.factory(), opts_.jobs)
+      .minimize(std::move(failing), opts_.explore.horizon);
 }
 
 CheckReport CheckSession::check(const CheckTarget& target) const {

@@ -17,7 +17,7 @@ std::unique_ptr<CheckTarget> DiffCheck::target(rt::Target t) const {
 
 DiffReport DiffCheck::check(const ExploreConfig& cfg, int jobs,
                             const std::vector<rt::Target>& targets) const {
-  return check(SessionOptions{cfg, jobs, Engine::kAuto}, targets);
+  return check(SessionOptions{cfg, jobs}, targets);
 }
 
 DiffReport DiffCheck::check(const SessionOptions& opts,

@@ -15,7 +15,7 @@
 // via GenProgramTarget::shrink, re-exploring after each candidate drop),
 // then the *decision string*, and DiffCheck renders the one-command repro
 // line every fuzz assertion embeds. DiffCheck itself is a thin adapter:
-// target construction, engine selection, and minimization all live in the
+// target construction, the worker count, and minimization all live in the
 // session.
 #pragma once
 

@@ -1,6 +1,15 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -153,11 +162,11 @@ void expand_node(const FrontierNode& node, const ReplayPolicy& policy,
   }
 }
 
-RunOutcome Explorer::replay(const DecisionString& schedule, uint64_t horizon,
-                            bool* fully_applied) {
-  // Replays only consume the verdict, never the DPOR recording.
+RunOutcome replay_schedule(const ScheduleRunner& runner,
+                           const DecisionString& schedule, uint64_t horizon,
+                           bool* fully_applied) {
   ReplayPolicy policy(schedule, horizon, /*record_footprints=*/false);
-  RunOutcome out = runner_(policy);
+  RunOutcome out = runner(policy);
   // An override whose choice no longer matches the candidate count aborts
   // the run mid-way (unconsumed as well), so unused_overrides() == 0 is
   // exactly "this outcome belongs to the requested schedule".
@@ -167,70 +176,241 @@ RunOutcome Explorer::replay(const DecisionString& schedule, uint64_t horizon,
   return out;
 }
 
+Explorer::Explorer(RunnerFactory factory, int jobs)
+    : factory_(std::move(factory)), jobs_(jobs < 1 ? 1 : jobs) {}
+
+namespace {
+
+/// Runs `work(w)` for every worker w < `workers`: worker 0 on the calling
+/// thread, the others on threads of their own. A worker that throws calls
+/// `on_error` on its own thread, so the others stop waiting for work it
+/// will never finish; the first exception is rethrown once all are joined.
+template <typename Work, typename OnError>
+void run_workers(int workers, const Work& work, const OnError& on_error) {
+  std::mutex mu;
+  std::exception_ptr first;  // guarded by mu
+  const auto guarded = [&](int w) {
+    try {
+      work(w);
+    } catch (...) {
+      on_error();
+      std::lock_guard<std::mutex> lk(mu);
+      if (!first) first = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) threads.emplace_back(guarded, w);
+  guarded(0);
+  for (auto& t : threads) t.join();
+  if (first) std::rethrow_exception(first);
+}
+
+/// One worker's slice of the frontier. Owner pushes/pops at the back (LIFO
+/// keeps the search depth-first); thieves pop at the front (FIFO hands them
+/// the shallowest — largest — pending subtree). A plain mutex per deque is
+/// ample: each queue operation amortizes a full program re-execution.
+struct Shard {
+  std::mutex mu;
+  std::deque<FrontierNode> dq;
+};
+
+}  // namespace
+
 ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   PMC_CHECK(cfg.preemption_bound >= 0);
-  ExploreReport rep;
-  std::unordered_set<uint64_t> traces;
-  std::vector<FrontierNode> stack;
-  stack.push_back({});
-  bool have_failing = false;
+  const int jobs = jobs_;
+  std::deque<Shard> shards(static_cast<size_t>(jobs));
+
+  // Shared counters. `in_flight` counts enqueued-but-unfinished prefixes:
+  // a worker increments it for every child *before* retiring the parent, so
+  // it can only reach zero once the whole tree has been processed.
+  std::atomic<uint64_t> claimed{0};
+  std::atomic<uint64_t> explored{0};
+  std::atomic<uint64_t> pruned{0};
+  std::atomic<uint64_t> dpor_pruned{0};
+  std::atomic<uint64_t> failing{0};
+  std::atomic<uint64_t> in_flight{1};
+  std::atomic<uint64_t> first_fail_at{0};
+  std::atomic<uint64_t> max_points{0};
+  std::atomic<bool> truncated{false};
+  std::atomic<bool> aborted{false};  // a worker threw
+
+  // Canonical failure: lexicographic minimum over everything seen so far.
+  std::mutex best_mu;
+  DecisionString best;
+  std::string best_message;
+  bool have_best = false;
+
+  shards[0].dq.push_back({});
+
+  // Out-of-work workers block here instead of spinning over the shards.
+  // Pushers notify; the bounded wait covers the (benign) race of a push
+  // landing between a failed scan and the wait. A lone worker never waits:
+  // its own deque holds every unfinished prefix.
+  std::mutex idle_mu;
+  std::condition_variable idle_cv;
+
+  std::vector<std::unordered_set<uint64_t>> traces(
+      static_cast<size_t>(jobs));
+  std::vector<std::vector<DecisionString>> fails(static_cast<size_t>(jobs));
+  std::vector<uint64_t> steals(static_cast<size_t>(jobs), 0);
+
+  // Telemetry needing a *live* distinct-trace count (the discovery curve,
+  // progress callbacks) funnels every hash through one shared set instead
+  // of the per-worker sets merged at the end. One lock per schedule, each
+  // amortized by a full program re-execution.
+  const bool live_traces = cfg.sample_hb_curve || cfg.progress != nullptr;
   const uint64_t stride = cfg.progress_stride == 0 ? 1 : cfg.progress_stride;
-  while (!stack.empty()) {
-    if (rep.explored >= cfg.max_schedules) {
-      rep.truncated = true;
-      break;
-    }
-    FrontierNode node = std::move(stack.back());
-    stack.pop_back();
-    ReplayPolicy policy(node.prefix, cfg.horizon,
-                        /*record_footprints=*/cfg.dpor != DporMode::kOff);
-    const RunOutcome out = runner_(policy);
-    ++rep.explored;
-    traces.insert(out.trace_hash);
-    // Power-of-two samples make the discovery curve O(log n) regardless of
-    // the space size, which is what a saturation plot needs.
-    if (cfg.sample_hb_curve && (rep.explored & (rep.explored - 1)) == 0) {
-      rep.hb_curve.push_back(traces.size());
-    }
-    if (cfg.progress && rep.explored % stride == 0) {
-      cfg.progress({rep.explored, rep.pruned, rep.dpor_pruned, rep.failing,
-                    traces.size(), cfg.max_schedules});
-    }
-    rep.max_decision_points =
-        std::max(rep.max_decision_points, policy.decision_points());
-    if (!out.ok) {
-      ++rep.failing;
-      if (rep.failing == 1) rep.schedules_to_first_failure = rep.explored;
-      // Canonicalize to the lexicographic minimum — the same tie-break the
-      // parallel engine uses — so both engines report the identical failing
-      // schedule for the same space, not a traversal-order accident.
-      if (!have_failing || lex_less(node.prefix, rep.first_failing)) {
-        rep.first_failing = node.prefix;
-        rep.first_failing_message = out.message;
-        have_failing = true;
+  std::mutex live_mu;
+  std::unordered_set<uint64_t> live_set;
+  // Distinct hashes after 1, 2, 4, ... explored schedules: power-of-two
+  // samples keep the curve O(log n) whatever the space size, which is what
+  // a saturation plot needs. Indexed by log2(explored).
+  std::vector<uint64_t> curve;
+
+  auto worker = [&](int self) {
+    Shard& own = shards[static_cast<size_t>(self)];
+    auto& local_traces = traces[static_cast<size_t>(self)];
+    auto& local_fails = fails[static_cast<size_t>(self)];
+    const ScheduleRunner runner = factory_();
+    while (in_flight.load() != 0 && !aborted.load()) {
+      std::optional<FrontierNode> task;
+      {
+        std::lock_guard<std::mutex> lk(own.mu);
+        if (!own.dq.empty()) {
+          task = std::move(own.dq.back());
+          own.dq.pop_back();
+        }
       }
-      if (cfg.collect_failing) rep.failing_schedules.push_back(node.prefix);
+      if (!task) {  // steal the oldest prefix from the next busy worker
+        for (int k = 1; k < jobs && !task; ++k) {
+          Shard& victim = shards[static_cast<size_t>((self + k) % jobs)];
+          std::lock_guard<std::mutex> lk(victim.mu);
+          if (!victim.dq.empty()) {
+            task = std::move(victim.dq.front());
+            victim.dq.pop_front();
+            ++steals[static_cast<size_t>(self)];
+          }
+        }
+      }
+      if (!task) {
+        std::unique_lock<std::mutex> lk(idle_mu);
+        if (in_flight.load() == 0 || aborted.load()) break;
+        idle_cv.wait_for(lk, std::chrono::milliseconds(1));
+        continue;
+      }
+
+      if (claimed.fetch_add(1) >= cfg.max_schedules) {
+        truncated.store(true);
+        if (in_flight.fetch_sub(1) == 1) idle_cv.notify_all();
+        continue;
+      }
+      ReplayPolicy policy(task->prefix, cfg.horizon,
+                          /*record_footprints=*/cfg.dpor != DporMode::kOff);
+      const RunOutcome out = runner(policy);
+      const uint64_t done = explored.fetch_add(1) + 1;
+      if (live_traces) {
+        uint64_t distinct = 0;
+        {
+          std::lock_guard<std::mutex> lk(live_mu);
+          live_set.insert(out.trace_hash);
+          distinct = live_set.size();
+          if (cfg.sample_hb_curve && (done & (done - 1)) == 0) {
+            size_t idx = 0;
+            for (uint64_t d = done; d >>= 1;) ++idx;
+            if (curve.size() <= idx) curve.resize(idx + 1, 0);
+            curve[idx] = distinct;
+          }
+        }
+        if (cfg.progress && done % stride == 0) {
+          cfg.progress({done, pruned.load(), dpor_pruned.load(),
+                        failing.load(), distinct, cfg.max_schedules});
+        }
+      } else {
+        local_traces.insert(out.trace_hash);
+      }
+      uint64_t prev = max_points.load();
+      while (prev < policy.decision_points() &&
+             !max_points.compare_exchange_weak(prev, policy.decision_points())) {
+      }
+      if (!out.ok) {
+        if (failing.fetch_add(1) == 0) first_fail_at.store(done);
+        if (cfg.collect_failing) local_fails.push_back(task->prefix);
+        std::lock_guard<std::mutex> lk(best_mu);
+        if (!have_best || lex_less(task->prefix, best)) {
+          best = task->prefix;
+          best_message = out.message;
+          have_best = true;
+        }
+      }
+
+      ExpandStats stats;
+      std::vector<FrontierNode> children;
+      expand_node(*task, policy, cfg, &children, &stats);
+      if (stats.delay_pruned != 0) pruned.fetch_add(stats.delay_pruned);
+      if (stats.dpor_pruned != 0) dpor_pruned.fetch_add(stats.dpor_pruned);
+      if (!children.empty()) {
+        in_flight.fetch_add(children.size());
+        {
+          std::lock_guard<std::mutex> lk(own.mu);
+          for (auto& c : children) own.dq.push_back(std::move(c));
+        }
+        idle_cv.notify_all();
+      }
+      if (in_flight.fetch_sub(1) == 1) idle_cv.notify_all();
     }
-    ExpandStats stats;
-    std::vector<FrontierNode> children;
-    expand_node(node, policy, cfg, &children, &stats);
-    rep.pruned += stats.delay_pruned;
-    rep.dpor_pruned += stats.dpor_pruned;
-    for (FrontierNode& child : children) stack.push_back(std::move(child));
+  };
+  run_workers(jobs, worker, [&] {
+    aborted.store(true);
+    idle_cv.notify_all();
+  });
+
+  ExploreReport rep;
+  rep.explored = explored.load();
+  rep.pruned = pruned.load();
+  rep.dpor_pruned = dpor_pruned.load();
+  rep.truncated = truncated.load();
+  rep.failing = failing.load();
+  rep.first_failing = std::move(best);
+  rep.first_failing_message = std::move(best_message);
+  rep.schedules_to_first_failure = first_fail_at.load();
+  rep.max_decision_points = max_points.load();
+  if (live_traces) {
+    rep.distinct_traces = live_set.size();
+    // Close the curve and the progress stream on the final totals.
+    if (cfg.sample_hb_curve) {
+      rep.hb_curve = std::move(curve);
+      if (rep.explored > 0 && (rep.explored & (rep.explored - 1)) != 0) {
+        rep.hb_curve.push_back(rep.distinct_traces);
+      }
+    }
+    if (cfg.progress) {
+      cfg.progress({rep.explored, rep.pruned, rep.dpor_pruned, rep.failing,
+                    rep.distinct_traces, cfg.max_schedules});
+    }
+    if (cfg.collect_trace_hashes) {
+      rep.trace_hashes.assign(live_set.begin(), live_set.end());
+      std::sort(rep.trace_hashes.begin(), rep.trace_hashes.end());
+    }
+  } else {
+    std::unordered_set<uint64_t>& merged = traces[0];
+    for (size_t w = 1; w < traces.size(); ++w) {
+      merged.insert(traces[w].begin(), traces[w].end());
+    }
+    rep.distinct_traces = merged.size();
+    if (cfg.collect_trace_hashes) {
+      // The tree is the same at any job count, so the sorted merge of the
+      // per-worker sets is the same byte for byte.
+      rep.trace_hashes.assign(merged.begin(), merged.end());
+      std::sort(rep.trace_hashes.begin(), rep.trace_hashes.end());
+    }
   }
-  rep.distinct_traces = traces.size();
-  if (cfg.collect_trace_hashes) {
-    rep.trace_hashes.assign(traces.begin(), traces.end());
-    std::sort(rep.trace_hashes.begin(), rep.trace_hashes.end());
-  }
-  // Close the curve and the progress stream on the final totals.
-  if (cfg.sample_hb_curve && rep.explored > 0 &&
-      (rep.explored & (rep.explored - 1)) != 0) {
-    rep.hb_curve.push_back(traces.size());
-  }
-  if (cfg.progress) {
-    cfg.progress({rep.explored, rep.pruned, rep.dpor_pruned, rep.failing,
-                  traces.size(), cfg.max_schedules});
+  rep.worker_steals = std::move(steals);
+  for (auto& f : fails) {
+    rep.failing_schedules.insert(rep.failing_schedules.end(),
+                                 std::make_move_iterator(f.begin()),
+                                 std::make_move_iterator(f.end()));
   }
   std::sort(rep.failing_schedules.begin(), rep.failing_schedules.end(),
             lex_less);
@@ -238,23 +418,50 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
 }
 
 DecisionString Explorer::minimize(DecisionString failing, uint64_t horizon) {
-  bool changed = true;
-  while (changed && !failing.empty()) {
-    changed = false;
-    for (size_t i = 0; i < failing.size(); ++i) {
-      DecisionString shorter = failing;
-      shorter.erase(shorter.begin() + static_cast<ptrdiff_t>(i));
-      // Dropping an override shifts the execution, so a later override can
-      // fall off the run (or outgrow the candidate count and abort the
-      // replay). Such a reduction did not reproduce the bug — skip it.
-      bool applied = false;
-      if (!replay(shorter, horizon, &applied).ok && applied) {
-        failing = std::move(shorter);
-        changed = true;
-        break;
-      }
+  if (failing.empty()) return failing;
+  // Workers live across rounds, so each builds its runner once per call
+  // (a stateful runner keeps its snapshot pool from round to round). In a
+  // round they claim candidate indices in increasing order and stop past
+  // `hit`, the lowest index found to still fail; the barrier's completion
+  // step, run while every worker waits, accepts it and resets the round.
+  constexpr size_t kNone = SIZE_MAX;
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> hit{kNone};
+  bool done = false;
+  const int workers =
+      static_cast<int>(std::min(static_cast<size_t>(jobs_), failing.size()));
+  std::barrier round_end(workers, [&]() noexcept {
+    const size_t i = hit.load();
+    if (i == kNone) {
+      done = true;
+    } else {
+      failing.erase(failing.begin() + static_cast<ptrdiff_t>(i));
+      done = failing.empty();
     }
-  }
+    next.store(0);
+    hit.store(kNone);
+  });
+  run_workers(workers, [&](int) {
+    const ScheduleRunner runner = factory_();
+    while (!done) {
+      for (size_t i = next.fetch_add(1); i < failing.size() && i < hit.load();
+           i = next.fetch_add(1)) {
+        DecisionString shorter = failing;
+        shorter.erase(shorter.begin() + static_cast<ptrdiff_t>(i));
+        // Dropping an override shifts the execution, so a later override
+        // can fall off the run (or outgrow the candidate count and abort
+        // the replay). Such a reduction did not reproduce the bug.
+        bool applied = false;
+        if (!replay_schedule(runner, shorter, horizon, &applied).ok &&
+            applied) {
+          size_t cur = hit.load();
+          while (i < cur && !hit.compare_exchange_weak(cur, i)) {
+          }
+        }
+      }
+      round_end.arrive_and_wait();
+    }
+  }, [&] { round_end.arrive_and_drop(); });
   return failing;
 }
 

@@ -1,15 +1,15 @@
-// Preemption-bounded schedule exploration (DESIGN.md §6) with optional
+// Preemption-bounded schedule exploration (DESIGN.md §6/§7) with optional
 // happens-before dynamic partial-order reduction (DESIGN.md §8).
 //
 // The Explorer enumerates interleavings of one deterministic simulated
-// program by stateless re-execution: each schedule is a decision string, the
-// runner re-runs the whole program under a ReplayPolicy, and the recorded
-// candidate counts of the parent run (identical prefix ⇒ identical decisions)
-// let the Explorer enumerate all child schedules exactly, without snapshots.
-// The search is bounded by a preemption budget (max overrides per schedule)
-// and a horizon (only the first H decision points may branch), in the style
-// of CHESS-like systematic concurrency testing; delay-segment pruning skips
-// preemptions of segments that provably performed no memory-system effect.
+// program by re-execution: each schedule is a decision string, a runner
+// re-runs the program under a ReplayPolicy, and the recorded candidate
+// counts of the parent run (identical prefix ⇒ identical decisions) let the
+// Explorer enumerate all child schedules exactly. The search is bounded by a
+// preemption budget (max overrides per schedule) and a horizon (only the
+// first H decision points may branch), in the style of CHESS-like
+// systematic concurrency testing; delay-segment pruning skips preemptions of
+// segments that provably performed no memory-system effect.
 //
 // DPOR collapses the remaining commuting reorderings: a branch (p, c) is
 // generated only when the bypassed candidate's pending segment *conflicts*
@@ -17,7 +17,17 @@
 // sleep sets additionally stop a commuted pair of alternatives from being
 // explored from both sides (sleep-set mode). Both reductions are pure
 // functions of the parent's deterministic run, so the reduced space is still
-// a fixed tree — totals stay identical at any worker count.
+// a fixed tree.
+//
+// The frontier of that tree is sharded over `jobs` workers with per-worker
+// work-stealing deques (owners pop newest-first, which keeps the search
+// depth-first and the frontier small; thieves steal oldest-first, which
+// hands them the largest unexplored subtrees). Worker 0 runs on the calling
+// thread, so jobs = 1 starts no thread and visits the tree in plain
+// depth-first order. Because the tree is fixed, `explored`, `pruned`,
+// `dpor_pruned`, `failing` and `distinct_traces` are identical at every job
+// count (absent truncation), and the reported failure is canonicalized to
+// the lexicographically least failing decision string.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +54,8 @@ const char* to_string(DporMode mode);
 std::optional<DporMode> dpor_mode_from_string(std::string_view text);
 
 /// Live exploration counters handed to ExploreConfig::progress. All values
-/// are monotone totals as of the callback; `distinct_traces` is exact for
-/// the sequential engine and a lower bound mid-run for the parallel one.
+/// are monotone totals as of the callback; with several workers they are a
+/// snapshot taken while other schedules are still running.
 struct ProgressUpdate {
   uint64_t explored = 0;
   uint64_t pruned = 0;
@@ -79,22 +89,22 @@ struct ExploreConfig {
   /// lexicographically). Off by default to bound memory on huge spaces.
   bool collect_failing = false;
   /// Telemetry-only progress callback, invoked every `progress_stride`
-  /// completed schedules plus once when the space is exhausted. The
-  /// parallel engine calls it from whichever worker crosses the stride, so
-  /// the callback must be thread-safe; it never affects the explored tree.
+  /// completed schedules plus once when the space is exhausted. It is
+  /// called from whichever worker crosses the stride, so with jobs > 1 the
+  /// callback must be thread-safe; it never affects the explored tree.
   using ProgressFn = std::function<void(const ProgressUpdate&)>;
   ProgressFn progress;
   uint64_t progress_stride = 64;
   /// Sample the hb-class discovery curve into ExploreReport::hb_curve:
   /// cumulative distinct trace hashes after 1, 2, 4, ... explored
-  /// schedules. Costs one shared set insertion per schedule under the
-  /// parallel engine, so off by default.
+  /// schedules. Costs one locked set insertion per schedule, so off by
+  /// default.
   bool sample_hb_curve = false;
   /// Export the full set of distinct trace hashes into
   /// ExploreReport::trace_hashes (sorted ascending). The schedule tree is a
   /// fixed function of (program, bounds), so the exported set — unlike the
-  /// discovery *curve* — is identical across engines and job counts: the
-  /// coverage signal the fuzzing farm's corpus keys on (DESIGN.md §14).
+  /// discovery *curve* — is identical across engine states and job counts:
+  /// the coverage signal the fuzzing farm's corpus keys on (DESIGN.md §14).
   /// Off by default to avoid materializing huge spaces.
   bool collect_trace_hashes = false;
 };
@@ -110,6 +120,25 @@ struct RunOutcome {
 /// the policy, run, validate) and reports the verdict.
 using ScheduleRunner = std::function<RunOutcome(ReplayPolicy& policy)>;
 
+/// Builds the runner of one worker. Stateful runners (StatefulExecutor,
+/// explore/stateful.h) keep a live Program and a snapshot pool between
+/// invocations, so they cannot be shared across workers: the factory gives
+/// every worker a private instance, built on that worker's thread. The
+/// factory itself must be thread-safe; the runners it returns need not be.
+/// A runner that is shared instead (the stateless CheckTarget::run) must be
+/// safe to invoke concurrently: each invocation builds its whole world
+/// afresh and shares nothing mutable.
+using RunnerFactory = std::function<ScheduleRunner()>;
+
+/// Runs `schedule` once under a non-recording ReplayPolicy (a replay only
+/// consumes the verdict). When `fully_applied` is non-null it reports
+/// whether every override matched a decision step — false means the string
+/// is stale (wrong program/back-end/horizon, or shifted steps) and the
+/// outcome describes some other schedule, not the requested one.
+RunOutcome replay_schedule(const ScheduleRunner& runner,
+                           const DecisionString& schedule, uint64_t horizon,
+                           bool* fully_applied = nullptr);
+
 struct ExploreReport {
   uint64_t explored = 0;  // schedules executed
   uint64_t pruned = 0;    // schedules enumerated but skipped by delay pruning
@@ -120,15 +149,14 @@ struct ExploreReport {
   uint64_t distinct_traces = 0;
   uint64_t failing = 0;
   /// The lexicographically least failing decision string seen (meaningful
-  /// iff failing > 0). Both the sequential and the parallel engine
-  /// canonicalize to the lexicographic minimum, so reports are byte-
-  /// identical across engines and job counts (absent truncation).
+  /// iff failing > 0). Canonicalized to the lexicographic minimum, so
+  /// reports are byte-identical across job counts (absent truncation).
   DecisionString first_failing;
   std::string first_failing_message;
   /// Schedules executed up to and including the temporally first failing one
   /// (0 when nothing failed) — the "time to find" a seeded bug; `explored`
-  /// keeps counting to the end of the bounded space. Stable for the
-  /// sequential engine, wall-clock-ish for the parallel one.
+  /// keeps counting to the end of the bounded space. Stable at jobs = 1,
+  /// wall-clock-ish with more workers.
   uint64_t schedules_to_first_failure = 0;
   uint64_t max_decision_points = 0;  // longest run observed
   /// Every failing decision string, sorted by lex_less (only when
@@ -138,23 +166,24 @@ struct ExploreReport {
   /// checkpoints captured, schedules forked from a mid-run snapshot, and
   /// schedules that fell back to the pinned root snapshot or a fresh run.
   /// Deliberately excluded from CheckReport::to_text — reports stay
-  /// byte-identical across engines.
+  /// byte-identical across engine states.
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
   /// hb-class discovery curve (only when ExploreConfig::sample_hb_curve):
   /// distinct trace hashes seen after 1, 2, 4, ... explored schedules, plus
-  /// a final sample. Deterministic for the sequential engine; traversal-
-  /// order-dependent (wall-clock-ish) for the parallel one. Telemetry-only,
-  /// excluded from CheckReport::to_text like the snapshot counters.
+  /// a final sample. Stable at jobs = 1; traversal-order-dependent
+  /// (wall-clock-ish) with more workers. Telemetry-only, excluded from
+  /// CheckReport::to_text like the snapshot counters.
   std::vector<uint64_t> hb_curve;
   /// Every distinct hb-class hash seen, sorted ascending (only when
   /// ExploreConfig::collect_trace_hashes; empty otherwise). Deterministic
-  /// across engines, engine states, and job counts (absent truncation) —
+  /// across engine states and job counts (absent truncation) —
   /// the contract tests/explore/test_hb_stability.cpp locks.
   std::vector<uint64_t> trace_hashes;
-  /// Successful steals per worker (parallel engine; empty for the
-  /// sequential one). Telemetry-only.
+  /// Successful steals per worker, one entry per worker. Stable at
+  /// jobs = 1 (a lone worker has no one to steal from); timing-dependent
+  /// with more workers. Telemetry-only.
   std::vector<uint64_t> worker_steals;
 };
 
@@ -168,9 +197,9 @@ struct SleepEntry {
 using SleepSet = std::vector<SleepEntry>;
 
 /// A frontier node of the (possibly reduced) schedule tree: the decision
-/// prefix to replay plus the sleep set inherited from its parent. The
-/// parallel explorer ships the sleep set with each stolen entry so the
-/// reduced tree — and with it every total — stays job-count-invariant.
+/// prefix to replay plus the sleep set inherited from its parent. A stolen
+/// entry carries its sleep set along, so the reduced tree — and with it
+/// every total — stays job-count-invariant.
 struct FrontierNode {
   DecisionString prefix;
   SleepSet sleep;
@@ -182,34 +211,40 @@ struct ExpandStats {
 };
 
 /// Enumerates the children of `node` from its completed run `policy`.
-/// Pure function of (node, the run's recording, cfg): the sequential and
-/// parallel engines share it, which is what makes their trees identical.
+/// Pure function of (node, the run's recording, cfg): whichever worker
+/// expands a node, it gets the same children, which is what makes the tree
+/// identical at every job count.
 void expand_node(const FrontierNode& node, const ReplayPolicy& policy,
                  const ExploreConfig& cfg, std::vector<FrontierNode>* children,
                  ExpandStats* stats);
 
 class Explorer {
  public:
-  explicit Explorer(ScheduleRunner runner) : runner_(std::move(runner)) {}
+  /// `jobs` < 1 is clamped to 1. Each call builds one runner per worker
+  /// from `factory`; worker 0 runs on the calling thread.
+  Explorer(RunnerFactory factory, int jobs);
 
-  /// Depth-first enumeration of all schedules within the bounds.
+  /// Enumerates every schedule within the bounds. With jobs > 1 two
+  /// report fields depend on worker timing:
+  ///  * schedules_to_first_failure is the value of the explored counter when
+  ///    the temporally first failure was recorded (the deterministic
+  ///    quantities are the totals and the canonical failing string);
+  ///  * when truncated, *which* schedules ran depends on worker timing, so
+  ///    only explored (== max_schedules) is meaningful, not pruned/failing.
   ExploreReport explore(const ExploreConfig& cfg);
 
-  /// Replays one schedule. When `fully_applied` is non-null it reports
-  /// whether every override matched a decision step — false means the
-  /// string is stale (wrong program/back-end/horizon, or shifted steps) and
-  /// the outcome describes some other schedule, not the requested one.
-  RunOutcome replay(const DecisionString& schedule, uint64_t horizon,
-                    bool* fully_applied = nullptr);
-
-  /// Greedy 1-minimal reduction of a failing schedule: repeatedly drops any
-  /// single override whose removal keeps the failure, until none can go.
-  /// A candidate reduction only counts as "still failing" when all its
-  /// overrides applied — a replay-mismatch abort is not the bug recurring.
+  /// Greedy 1-minimal reduction of a failing schedule: each round drops the
+  /// lowest-index single override whose removal keeps the failure, until
+  /// none can go. A candidate reduction only counts as "still failing" when
+  /// all its overrides applied — a replay-mismatch abort is not the bug
+  /// recurring. Workers claim candidates in index order and skip those
+  /// above a failure already found, so jobs = 1 is the first-accept scan
+  /// and the result is the same at any job count.
   DecisionString minimize(DecisionString failing, uint64_t horizon);
 
  private:
-  ScheduleRunner runner_;
+  RunnerFactory factory_;
+  int jobs_;
 };
 
 }  // namespace pmc::explore

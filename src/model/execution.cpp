@@ -286,18 +286,22 @@ bool Execution::reachable(OpId a, OpId b, ProcId view) const {
   if (a == b) return false;
   if (a > b) return false;  // edges only point up in id order
   // Iterative DFS over ids < b.
-  std::vector<OpId> stack{a};
-  std::vector<char> seen(ops_.size(), 0);
-  seen[a] = 1;
-  while (!stack.empty()) {
-    const OpId cur = stack.back();
-    stack.pop_back();
+  if (visit_mark_.size() < ops_.size()) visit_mark_.resize(ops_.size(), 0);
+  if (++visit_epoch_ == 0) {  // wrapped: forget every mark once
+    std::fill(visit_mark_.begin(), visit_mark_.end(), 0);
+    visit_epoch_ = 1;
+  }
+  visit_stack_.assign(1, a);
+  visit_mark_[a] = visit_epoch_;
+  while (!visit_stack_.empty()) {
+    const OpId cur = visit_stack_.back();
+    visit_stack_.pop_back();
     for (const Edge& e : out_[cur]) {
       if (e.kind == EdgeKind::kLocal && view != e.owner) continue;
       if (e.to == b) return true;
-      if (e.to > b || seen[e.to]) continue;
-      seen[e.to] = 1;
-      stack.push_back(e.to);
+      if (e.to > b || visit_mark_[e.to] == visit_epoch_) continue;
+      visit_mark_[e.to] = visit_epoch_;
+      visit_stack_.push_back(e.to);
     }
   }
   return false;

@@ -126,7 +126,7 @@ class Execution {
   void touch(ProcId p, LocId v);
   OpId new_op(uint8_t kinds, ProcId p, LocId v, uint64_t value);
   void add_edge(OpId from, OpId to, EdgeKind kind);
-  /// BFS from a towards b over edges visible in `view` (kAnyProc = global).
+  /// DFS from a towards b over edges visible in `view` (kAnyProc = global).
   bool reachable(OpId a, OpId b, ProcId view) const;
   std::vector<OpId> last_writes_impl(ProcId p, const std::vector<OpId>& preds,
                                      LocId v, OpId upper) const;
@@ -144,6 +144,16 @@ class Execution {
   std::vector<std::vector<OpId>> release_frontier_;  // per location
   std::vector<ProcLocState> pls_;                // [p * num_locs + v]
   std::vector<ProcState> ps_;
+
+  // Scratch of reachable(), reused across queries instead of allocated per
+  // query: an op is visited iff its mark equals the query's epoch (bumped
+  // per query, so nothing is cleared), plus the DFS stack. Nothing in here
+  // outlives a query, so save()/restore() ignore it; it also makes const
+  // queries mutate, so one Execution must not be queried from two threads
+  // at once (each search and each TraceValidator owns its own).
+  mutable std::vector<uint32_t> visit_mark_;
+  mutable uint32_t visit_epoch_ = 0;
+  mutable std::vector<OpId> visit_stack_;
 };
 
 class Execution::Checkpoint {

@@ -13,14 +13,12 @@
 namespace pmc::explore {
 namespace {
 
-SessionOptions app_opts(DporMode dpor = DporMode::kSleepSet, int jobs = 1,
-                        Engine engine = Engine::kAuto) {
+SessionOptions app_opts(DporMode dpor = DporMode::kSleepSet, int jobs = 1) {
   SessionOptions opts;
   opts.explore.preemption_bound = 1;
   opts.explore.horizon = 14;
   opts.explore.dpor = dpor;
   opts.jobs = jobs;
-  opts.engine = engine;
   return opts;
 }
 
@@ -92,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(SimTargets, AppSweep,
                            return std::string(rt::to_string(info.param));
                          });
 
-// -- Report determinism across engines and job counts (ISSUE 5 satellite) ----
+// -- Report determinism across job counts -------------------------------------
 
 TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
   // A failing target exercises the whole pipeline (canonicalization,
@@ -102,13 +100,11 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
     const auto target =
         make_app_target(kind, rt::Target::kSWCC, all_seeded_faults());
     const CheckReport ref =
-        CheckSession(app_opts(DporMode::kSleepSet, 1, Engine::kSequential))
-            .check(*target);
+        CheckSession(app_opts(DporMode::kSleepSet, 1)).check(*target);
     ASSERT_GT(ref.failing, 0u) << to_string(kind);
-    for (int jobs : {1, 2, 8}) {
+    for (int jobs : {2, 8}) {
       const CheckReport rep =
-          CheckSession(app_opts(DporMode::kSleepSet, jobs, Engine::kParallel))
-              .check(*target);
+          CheckSession(app_opts(DporMode::kSleepSet, jobs)).check(*target);
       EXPECT_EQ(rep.to_text(), ref.to_text())
           << to_string(kind) << " jobs=" << jobs;
     }
@@ -118,13 +114,11 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
 TEST(AppCheck, CleanReportsAreByteIdenticalAcrossJobs) {
   const MFifoTarget target(rt::Target::kDSM);
   const CheckReport ref =
-      CheckSession(app_opts(DporMode::kSleepSet, 1, Engine::kSequential))
-          .check(target);
+      CheckSession(app_opts(DporMode::kSleepSet, 1)).check(target);
   EXPECT_TRUE(ref.ok);
   for (int jobs : {2, 8}) {
     const CheckReport rep =
-        CheckSession(app_opts(DporMode::kSleepSet, jobs, Engine::kParallel))
-            .check(target);
+        CheckSession(app_opts(DporMode::kSleepSet, jobs)).check(target);
     EXPECT_EQ(rep.to_text(), ref.to_text()) << "jobs=" << jobs;
   }
 }

@@ -42,7 +42,6 @@ SessionOptions grid_opts(EngineState state, DporMode dpor = DporMode::kOff,
   opts.explore.horizon = horizon;
   opts.explore.dpor = dpor;
   opts.jobs = jobs;
-  opts.engine = jobs > 1 ? Engine::kParallel : Engine::kSequential;
   opts.engine_state = state;
   return opts;
 }
@@ -182,22 +181,21 @@ TEST(SnapshotPool, CapacityZeroFallsBackToRootRestores) {
   SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
-  StatefulOptions sopts;
-  sopts.horizon = 12;
-  sopts.checkpoint_stride = 4;
-  sopts.pool_capacity = 0;
-  StatefulExecutor exec(target.make_spec(), sopts);
-  ExploreConfig cfg;
-  cfg.horizon = 12;
-  const ExploreReport rep = Explorer(exec.runner()).explore(cfg);
+  SessionOptions opts;
+  opts.explore.horizon = 12;
+  opts.snapshot_stride = 4;
+  opts.snapshot_pool = 0;
+  const CheckReport rep = CheckSession(opts).check(target);
   EXPECT_EQ(rep.failing, 0u);
   // Every non-first schedule restarted from the pinned root: no mid-run
   // forks survived eviction, yet exploration still completed identically.
-  EXPECT_EQ(exec.stats().pool_hits, 0u);
-  EXPECT_EQ(exec.stats().pool_misses, rep.explored - 1);
-  EXPECT_GE(exec.stats().snapshots_taken, 1u);
+  EXPECT_EQ(rep.telemetry.snapshot_hits, 0u);
+  EXPECT_EQ(rep.telemetry.snapshot_misses, rep.explored - 1);
+  EXPECT_GE(rep.telemetry.snapshots_taken, 1u);
 
-  const ExploreReport ref = Explorer(target.runner()).explore(cfg);
+  opts.engine_state = EngineState::kReplay;
+  const CheckReport ref = CheckSession(opts).check(target);
+  EXPECT_EQ(ref.telemetry.snapshots_taken, 0u);
   EXPECT_EQ(rep.explored, ref.explored);
   EXPECT_EQ(rep.distinct_traces, ref.distinct_traces);
 }
@@ -206,12 +204,11 @@ TEST(SnapshotPool, DefaultPoolForksMostSchedulesMidRun) {
   SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
-  StatefulExecutor exec(target.make_spec(), StatefulOptions{});
-  ExploreConfig cfg;
-  cfg.horizon = 24;
-  const ExploreReport rep = Explorer(exec.runner()).explore(cfg);
+  SessionOptions opts;
+  opts.explore.horizon = 24;
+  const CheckReport rep = CheckSession(opts).check(target);
   EXPECT_EQ(rep.failing, 0u);
-  EXPECT_GT(exec.stats().pool_hits, exec.stats().pool_misses);
+  EXPECT_GT(rep.telemetry.snapshot_hits, rep.telemetry.snapshot_misses);
 }
 
 // -- Snapshot/restore round-trip properties ----------------------------------

@@ -21,7 +21,6 @@ SessionOptions opts_for(EngineState state, int jobs) {
   o.explore.preemption_bound = 2;
   o.explore.horizon = 24;
   o.jobs = jobs;
-  o.engine = jobs > 1 ? Engine::kParallel : Engine::kSequential;
   o.engine_state = state;
   return o;
 }
@@ -128,7 +127,7 @@ TEST(CheckReportJson, ParsesAndCarriesTelemetry) {
   EXPECT_NE(json.find("\"explored\":"), std::string::npos);
   EXPECT_NE(json.find("\"schedules_per_sec\":"), std::string::npos);
   EXPECT_NE(json.find("\"hb_curve\":["), std::string::npos);
-  // The parallel engine reports one steal counter per worker.
+  // The engine reports one steal counter per worker.
   EXPECT_EQ(rep.telemetry.worker_steals.size(), 2u);
   EXPECT_FALSE(rep.telemetry.hb_curve.empty());
   EXPECT_GT(rep.telemetry.explore_seconds, 0);
